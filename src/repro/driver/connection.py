@@ -42,7 +42,8 @@ class Cursor:
         cost = conn.dialect.cost
         conn.clock.advance_ms(cost.per_statement_ms)
         result = conn.database.execute(sql, params)
-        # Scan cost is charged for rows the engine actually examined.
+        # Scan cost is charged for the cost model's rows examined: a full
+        # scan's count, whichever access path the executor took.
         conn.clock.advance_ms(result.stats.rows_examined * cost.per_row_scan_us / 1000.0)
         if result.rowcount and not result.rows:
             # DML: inserts/updates pay per-row write cost plus a commit.

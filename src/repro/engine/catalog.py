@@ -118,7 +118,8 @@ class Catalog:
     # Indexes ------------------------------------------------------------------------
 
     def create_index(self, stmt: ast.CreateIndex) -> None:
-        """Validate and register an index; builds its hash table eagerly."""
+        """Validate and register an index declaration (catalog-only: the
+        executor's one access path is the primary-key range scan)."""
         key = stmt.name.lower()
         if key in self._index_defs:
             raise DuplicateObjectError(f"index {stmt.name!r} already exists")
@@ -126,7 +127,6 @@ class Catalog:
         for col in stmt.columns:
             table.column_position(col)
         self._index_defs[key] = stmt
-        table.ensure_index(stmt.columns)
 
     def index_names(self) -> list[str]:
         """Sorted names of every index."""

@@ -108,6 +108,12 @@ class Database:
             return cols, result.rows
         raise TableNotFoundError(name, self.name)
 
+    def base_table(self, name: str) -> TableStorage | None:
+        """The stored table behind ``name``; None for a view."""
+        if self.catalog.has_table(name):
+            return self.catalog.get_table(name)
+        return None
+
     # -- statement execution ---------------------------------------------------------
 
     def execute(self, sql: str, params: tuple = ()) -> ExecResult:

@@ -10,11 +10,18 @@ Join strategy: conjunctive equi-join predicates become hash joins
 (build on the right input, probe from the left); remaining conjuncts
 are applied as residual filters. Everything else falls back to a
 nested-loop join.
+
+Access path: a single-table SELECT whose WHERE bounds the table's
+INTEGER/BIGINT primary key filters only the rows of a primary-key range
+scan (:func:`pk_range_path`); every other scan reads the whole table.
+``ExecStats.rows_examined`` stays the vendor cost model's count either
+way: the table's cardinality at the scan and again at the filter.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -24,6 +31,7 @@ from repro.common.errors import (
     SQLTypeError,
 )
 from repro.common.types import SQLType, infer_literal_type
+from repro.engine.storage import TableStorage
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
 
@@ -33,6 +41,10 @@ class TableResolver(Protocol):
 
     def resolve_table(self, name: str) -> tuple[list[SchemaColumn], list[tuple]]:
         """Return (columns, rows) for a base table or view."""
+        ...
+
+    def base_table(self, name: str) -> TableStorage | None:
+        """The stored table behind ``name``; None for a view."""
         ...
 
 
@@ -76,6 +88,90 @@ class QueryResult:
     def to_dicts(self) -> list[dict]:
         """Rows as dicts keyed by column name."""
         return [dict(zip(self.columns, row)) for row in self.rows]
+
+
+_SUBQUERY_NODES = (ast.ScalarSubquery, ast.InSubquery, ast.Exists)
+#: ``literal op key`` means ``key flipped[op] literal``
+_FLIPPED = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "="}
+
+
+def split_conjuncts(expr: ast.Expr) -> list[ast.Expr]:
+    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
+        return split_conjuncts(expr.left) + split_conjuncts(expr.right)
+    return [expr]
+
+
+def _numeric_bound(expr: ast.Expr, params: tuple) -> int | float | None:
+    """The finite number a literal or bound parameter stands for, else None."""
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+    elif isinstance(expr, ast.Param) and expr.index < len(params):
+        value = params[expr.index]
+    else:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    return value if math.isfinite(value) else None
+
+
+def pk_range_path(
+    select: ast.Select, resolver: TableResolver, schema: RowSchema, params: tuple = ()
+) -> tuple[TableStorage, int | float, int | float] | None:
+    """The primary-key range scan a SELECT can use: ``(table, lo, hi)``.
+
+    The executor and EXPLAIN both plan through this one function. It
+    applies to a WHERE over one base table, with no joins, whose primary
+    key is one INTEGER/BIGINT column. The conjuncts comparing that key
+    with a finite numeric literal or bound parameter (``<``, ``<=``,
+    ``=``, ``>=``, ``>`` in either operand order, or ``BETWEEN``) fold
+    into the closed integer interval ``[lo, hi]``; an unbounded side is
+    ``-inf``/``inf`` and ``lo > hi`` is an empty range. None means a full
+    scan: no usable conjunct, or a subquery in the WHERE, which must run
+    (and charge its rows) exactly as it does under a full scan.
+    """
+    if select.where is None or len(select.from_) != 1 or select.joins:
+        return None
+    table = resolver.base_table(select.from_[0].name)
+    key = None if table is None else table.range_key()
+    if key is None or any(isinstance(n, _SUBQUERY_NODES) for n in ast.walk(select.where)):
+        return None
+
+    def is_key(expr: ast.Expr) -> bool:
+        if not isinstance(expr, ast.ColumnRef):
+            return False
+        try:
+            return schema.resolve(expr) == key
+        except ColumnNotFoundError:
+            return False
+
+    bounds: list[tuple[str, ast.Expr]] = []
+    for conj in split_conjuncts(select.where):
+        if isinstance(conj, ast.Between):
+            if not conj.negated and is_key(conj.operand):
+                bounds += [(">=", conj.low), ("<=", conj.high)]
+        elif isinstance(conj, ast.BinaryOp) and conj.op in _FLIPPED:
+            if is_key(conj.left):
+                bounds.append((conj.op, conj.right))
+            elif is_key(conj.right):
+                bounds.append((_FLIPPED[conj.op], conj.left))
+    lo: int | float = -math.inf
+    hi: int | float = math.inf
+    narrowed = False
+    for op, expr in bounds:
+        value = _numeric_bound(expr, params)
+        if value is None:
+            continue
+        narrowed = True
+        # keys are integers, so each bound rounds onto the nearest key inside it
+        if op in ("<=", "="):
+            hi = min(hi, math.floor(value))
+        if op in (">=", "="):
+            lo = max(lo, math.ceil(value))
+        if op == "<":
+            hi = min(hi, math.ceil(value) - 1)
+        if op == ">":
+            lo = max(lo, math.floor(value) + 1)
+    return (table, lo, hi) if narrowed else None
 
 
 @functools.total_ordering
@@ -139,7 +235,13 @@ class SelectExecutor:
         self._typecheck(select, schema)
         if select.where is not None:
             predicate = self._compile(select.where, schema)
+            # charged as a full scan whatever the access path reads
             self.stats.rows_examined += len(rows)
+            path = pk_range_path(select, self.resolver, schema, self.params)
+            if path is not None:
+                candidates = path[0].pk_range(path[1], path[2])
+                if candidates is not None:
+                    rows = candidates
             rows = [r for r in rows if truthy(predicate(r))]
         needs_agg = bool(select.group_by) or any(
             ast.contains_aggregate(i.expr) for i in select.items
@@ -199,16 +301,11 @@ class SelectExecutor:
         self.stats.join_strategy.append("cross")
         return combined, rows
 
-    def _split_conjuncts(self, expr: ast.Expr) -> list[ast.Expr]:
-        if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-            return self._split_conjuncts(expr.left) + self._split_conjuncts(expr.right)
-        return [expr]
-
     def _join(self, lschema, lrows, rschema, rrows, join: ast.Join):
         combined = lschema.concat(rschema)
         if join.kind == "CROSS" or join.on is None:
             return self._cross_join(lschema, lrows, rschema, rrows)
-        conjuncts = self._split_conjuncts(join.on)
+        conjuncts = split_conjuncts(join.on)
         left_keys: list[Callable] = []
         right_keys: list[Callable] = []
         residual: list[ast.Expr] = []

@@ -1,25 +1,20 @@
 """EXPLAIN: human-readable plan outlines without executing.
 
 ``explain_statement`` mirrors the executor's actual decisions — which
-join becomes a hash join on which keys, which conjuncts remain residual,
-where filters/aggregates/sorts apply — by running the same analysis the
-executor would, against catalog metadata only.
+access path reads the first table, which join becomes a hash join on
+which keys, which conjuncts remain residual, where filters/aggregates/
+sorts apply — by running the same analysis the executor would, against
+catalog metadata only. EXPLAIN has no parameter values, so a ``?``
+bound does not narrow the primary-key range it shows.
 """
 
 from __future__ import annotations
 
 from repro.common.errors import ColumnNotFoundError
+from repro.engine.executor import pk_range_path, split_conjuncts
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn
 from repro.sql.parser import parse_statement
-
-
-def _split_conjuncts(expr: ast.Expr | None) -> list[ast.Expr]:
-    if expr is None:
-        return []
-    if isinstance(expr, ast.BinaryOp) and expr.op == "AND":
-        return _split_conjuncts(expr.left) + _split_conjuncts(expr.right)
-    return [expr]
 
 
 def _schema_for(db, ref: ast.TableRef) -> RowSchema:
@@ -40,10 +35,16 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
         return lines
 
     first = select.from_[0]
-    lines.append(f"{indent}scan {first.name}" +
-                 (f" AS {first.alias}" if first.alias else "") +
-                 f" ({_table_size(db, first.name)})")
     schema = _schema_for(db, first)
+    label = first.name + (f" AS {first.alias}" if first.alias else "")
+    size = _table_size(db, first.name)
+    path = pk_range_path(select, db, schema)
+    if path is None:
+        lines.append(f"{indent}scan {label} ({size})")
+    else:
+        table, lo, hi = path
+        key = table.columns[table.range_key()].name
+        lines.append(f"{indent}pk range scan {label} on {key} [{lo}, {hi}] ({size})")
     for ref in select.from_[1:]:
         lines.append(
             f"{indent}cross join {ref.name} ({_table_size(db, ref.name)})"
@@ -60,7 +61,7 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
             schema = schema.concat(rschema)
             continue
         equi, residual = [], []
-        for conj in _split_conjuncts(join.on):
+        for conj in split_conjuncts(join.on):
             if _is_equi_pair(conj, schema, rschema):
                 equi.append(conj.unparse())
             else:

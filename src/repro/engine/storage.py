@@ -1,13 +1,17 @@
-"""Row storage for one table, with constraints and hash indexes.
+"""Row storage for one table, with constraints and primary-key access.
 
 Rows are stored as tuples in insertion order. A primary-key hash index
-is maintained eagerly; secondary indexes are built lazily and dropped on
-mutation (rebuild-on-demand keeps the mutation path simple and is the
-right trade for the read-mostly mart workloads the paper evaluates).
+is maintained eagerly for uniqueness and point lookups. A table whose
+primary key is one INTEGER/BIGINT column also answers key ranges from a
+sorted ``(key, position)`` list, built on the first range read and
+dropped on every mutation (rebuild-on-demand keeps the mutation path
+simple and is the right trade for the read-mostly workloads the paper
+evaluates). ``CREATE INDEX`` is a catalog-only declaration.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from repro.common.errors import (
@@ -15,7 +19,7 @@ from repro.common.errors import (
     DuplicateObjectError,
     IntegrityError,
 )
-from repro.common.types import SQLType, coerce_value
+from repro.common.types import SQLType, TypeKind, coerce_value
 
 
 @dataclass(frozen=True)
@@ -73,8 +77,9 @@ class TableStorage:
         pk_cols = [i for i, c in enumerate(self.columns) if c.primary_key]
         self._pk_positions: tuple[int, ...] = tuple(pk_cols)
         self._pk_index: dict[tuple, int] | None = {} if pk_cols else None
-        # name -> (column positions, key -> row positions)
-        self._indexes: dict[str, tuple[tuple[int, ...], dict[tuple, list[int]]]] = {}
+        # (sorted keys, their row positions or None when that is 0..n-1),
+        # built by the first pk_range call and dropped on every mutation
+        self._pk_sorted: tuple[list[int] | None, list[int] | None] | None = None
         self._byte_size = 0
 
     # Introspection -------------------------------------------------------------
@@ -151,7 +156,7 @@ class TableStorage:
             self._pk_index[key] = len(self.rows)
         self.rows.append(row)
         self._byte_size += estimate_row_bytes(row)
-        self._indexes.clear()
+        self._pk_sorted = None
         return row
 
     def insert_many(self, rows: list[list], columns: list[str] | None = None) -> int:
@@ -161,8 +166,8 @@ class TableStorage:
         """Bulk insert: validate every row, then commit the batch at once.
 
         All-or-nothing — constraint violations (including duplicate keys
-        *within* the batch) raise before any row lands, the secondary
-        indexes are dropped once instead of per row, and byte accounting
+        *within* the batch) raise before any row lands, the sorted
+        primary-key list is dropped once instead of per row, and byte accounting
         is summed over the batch. This is what the scratch-engine merge
         and the warehouse loader use; per-row :meth:`insert` keeps
         modelling the prototype's statement-at-a-time path.
@@ -187,7 +192,7 @@ class TableStorage:
                 self._pk_index[key] = base + offset
         self.rows.extend(staged)
         self._byte_size += sum(estimate_row_bytes(r) for r in staged)
-        self._indexes.clear()
+        self._pk_sorted = None
         return len(staged)
 
     def delete_where(self, keep_predicate) -> int:
@@ -205,7 +210,7 @@ class TableStorage:
         self._rebuild_after_mutation()
 
     def _rebuild_after_mutation(self) -> None:
-        self._indexes.clear()
+        self._pk_sorted = None
         self._byte_size = sum(estimate_row_bytes(r) for r in self.rows)
         if self._pk_index is not None:
             self._pk_index = {}
@@ -247,20 +252,49 @@ class TableStorage:
         )
         self._rebuild_after_mutation()
 
-    # Indexes --------------------------------------------------------------------
+    # Primary-key access ---------------------------------------------------------
 
-    def ensure_index(self, columns: tuple[str, ...]) -> dict[tuple, list[int]]:
-        """Hash index on ``columns``, built lazily, invalidated on mutation."""
-        key = "|".join(c.lower() for c in columns)
-        cached = self._indexes.get(key)
-        if cached is not None:
-            return cached[1]
-        positions = tuple(self.column_position(c) for c in columns)
-        index: dict[tuple, list[int]] = {}
-        for pos, row in enumerate(self.rows):
-            index.setdefault(tuple(row[i] for i in positions), []).append(pos)
-        self._indexes[key] = (positions, index)
-        return index
+    def range_key(self) -> int | None:
+        """Position of the primary key when it is one INTEGER/BIGINT
+        column, the only shape :meth:`pk_range` answers; else None."""
+        if len(self._pk_positions) != 1:
+            return None
+        (pos,) = self._pk_positions
+        if self.columns[pos].type.kind in (TypeKind.INTEGER, TypeKind.BIGINT):
+            return pos
+        return None
+
+    def pk_range(self, lo: float, hi: float) -> list[tuple] | None:
+        """Rows whose primary key lies in ``[lo, hi]``, in insertion order.
+
+        Bisects the sorted key list; when the keys ascend in insertion
+        order (the usual load) the answer is one slice of ``rows``.
+        None means the range cannot be answered, because a non-integer
+        key reached the table through :meth:`replace_rows`; the caller
+        scans instead. Only valid when :meth:`range_key` is not None.
+        """
+        if self._pk_sorted is None:
+            self._pk_sorted = self._sort_pk()
+        keys, positions = self._pk_sorted
+        if keys is None:
+            return None
+        start, stop = bisect_left(keys, lo), bisect_right(keys, hi)
+        if start >= stop:
+            return []
+        if positions is None:
+            return self.rows[start:stop]
+        return [self.rows[p] for p in sorted(positions[start:stop])]
+
+    def _sort_pk(self) -> tuple[list[int] | None, list[int] | None]:
+        (pos,) = self._pk_positions
+        values = [row[pos] for row in self.rows]
+        if any(type(v) is not int for v in values if v is not None):
+            return None, None
+        order = sorted(
+            (p for p, v in enumerate(values) if v is not None), key=values.__getitem__
+        )
+        keys = [values[p] for p in order]
+        return keys, (None if order == list(range(len(values))) else order)
 
     def lookup_pk(self, key: tuple) -> tuple | None:
         """Primary-key point lookup; None when the table has no PK or misses."""

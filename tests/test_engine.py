@@ -22,6 +22,15 @@ def db():
     return d
 
 
+def _pk_table(keys) -> TableStorage:
+    t = TableStorage(
+        "t", [Column("id", SQLType.integer(), primary_key=True), Column("v", SQLType.varchar(5))]
+    )
+    for k in keys:
+        t.insert([k, f"r{k}"])
+    return t
+
+
 class TestTableStorage:
     def test_insert_coerces_types(self):
         t = TableStorage("t", [Column("a", SQLType.integer()), Column("b", SQLType.varchar(10))])
@@ -75,20 +84,80 @@ class TestTableStorage:
         assert t.lookup_pk((7,)) == (7,)
         assert t.lookup_pk((8,)) is None
 
-    def test_hash_index_lookup(self):
-        t = TableStorage("t", [Column("a", SQLType.integer()), Column("b", SQLType.integer())])
-        t.insert([1, 10])
-        t.insert([1, 20])
-        index = t.ensure_index(("a",))
-        assert index[(1,)] == [0, 1]
+    def test_range_key_needs_one_integer_pk_column(self):
+        t = TableStorage("t", [Column("a", SQLType.integer()), Column("id", SQLType.bigint(), primary_key=True)])
+        assert t.range_key() == 1
+        assert TableStorage("t", [Column("a", SQLType.integer())]).range_key() is None
+        text = TableStorage("t", [Column("k", SQLType.varchar(5), primary_key=True)])
+        assert text.range_key() is None
+        composite = TableStorage(
+            "t",
+            [Column("a", SQLType.integer(), primary_key=True), Column("b", SQLType.integer(), primary_key=True)],
+        )
+        assert composite.range_key() is None
 
-    def test_index_invalidated_on_insert(self):
-        t = TableStorage("t", [Column("a", SQLType.integer())])
-        t.insert([1])
-        first = t.ensure_index(("a",))
-        t.insert([2])
-        second = t.ensure_index(("a",))
-        assert (2,) in second and (2,) not in first
+    def test_pk_range_returns_insertion_order(self):
+        t = _pk_table([5, -3, 9, 1, 7])
+        assert t.pk_range(-3, 5) == [(5, "r5"), (-3, "r-3"), (1, "r1")]
+        assert t.pk_range(float("-inf"), float("inf")) == t.rows
+        assert t.pk_range(10, 20) == []
+        assert t.pk_range(6, 4) == []
+
+    def test_pk_range_ascending_load_is_a_slice(self):
+        t = _pk_table(range(10))
+        assert t.pk_range(3, 5) == t.rows[3:6]
+
+    def test_pk_range_skips_null_keys(self):
+        t = TableStorage("t", [Column("id", SQLType.integer(), primary_key=True)])
+        t.append_rows([[2], [None], [1]])
+        assert t.pk_range(float("-inf"), float("inf")) == [(2,), (1,)]
+
+    def test_pk_range_declines_non_integer_keys(self):
+        t = _pk_table([1, 2])
+        t.replace_rows([(1.5, "x"), (2, "y")])
+        assert t.pk_range(0, 3) is None
+
+    def test_sorted_pk_rebuilt_after_insert(self):
+        t = _pk_table([3, 1])
+        assert t.pk_range(0, 9) == [(3, "r3"), (1, "r1")]
+        t.insert([2, "r2"])
+        assert t._pk_sorted is None
+        assert t.pk_range(0, 9) == [(3, "r3"), (1, "r1"), (2, "r2")]
+
+    def test_sorted_pk_rebuilt_after_append_rows(self):
+        t = _pk_table([3, 1])
+        t.pk_range(0, 9)
+        t.append_rows([[0, "r0"], [2, "r2"]])
+        assert t._pk_sorted is None
+        assert t.pk_range(1, 2) == [(1, "r1"), (2, "r2")]
+
+    def test_sorted_pk_rebuilt_after_delete_where(self):
+        t = _pk_table([3, 1, 2])
+        t.pk_range(0, 9)
+        t.delete_where(lambda row: row[0] != 1)
+        assert t._pk_sorted is None
+        assert t.pk_range(0, 9) == [(3, "r3"), (2, "r2")]
+
+    def test_sorted_pk_rebuilt_after_replace_rows(self):
+        t = _pk_table([3, 1])
+        t.pk_range(0, 9)
+        t.replace_rows([(8, "r8"), (4, "r4")])
+        assert t._pk_sorted is None
+        assert t.pk_range(0, 5) == [(4, "r4")]
+
+    def test_sorted_pk_rebuilt_after_add_column(self):
+        t = _pk_table([3, 1])
+        t.pk_range(0, 9)
+        t.add_column(Column("c", SQLType.integer(), default=0, has_default=True))
+        assert t._pk_sorted is None
+        assert t.pk_range(1, 1) == [(1, "r1", 0)]
+
+    def test_sorted_pk_rebuilt_after_drop_column(self):
+        t = _pk_table([3, 1])
+        t.pk_range(0, 9)
+        t.drop_column("v")
+        assert t._pk_sorted is None
+        assert t.pk_range(3, 3) == [(3,)]
 
     def test_add_column_backfills(self):
         t = TableStorage("t", [Column("a", SQLType.integer())])
