@@ -49,8 +49,14 @@ def _encode_value(value, out: list[str]) -> None:
             _encode_value(item, out)
         out.append("</array>")
     elif isinstance(value, dict):
+        try:
+            keys = sorted(value)
+        except TypeError:
+            raise ClarensFault(
+                "encode", "cannot encode struct whose keys cannot be ordered"
+            ) from None
         out.append("<struct>")
-        for key in sorted(value):
+        for key in keys:
             out.append(f"<member><name>{escape(_escape_text(str(key)))}</name>")
             _encode_value(value[key], out)
             out.append("</member>")

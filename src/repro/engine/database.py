@@ -10,6 +10,8 @@ warehouse exposes its read-only analysis views.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
+from typing import Callable
 
 from repro.common.errors import (
     IntegrityError,
@@ -19,7 +21,7 @@ from repro.common.errors import (
 )
 from repro.common.types import SQLType, coerce_value
 from repro.engine.catalog import Catalog, ViewDef
-from repro.engine.executor import ExecStats, QueryResult, SelectExecutor
+from repro.engine.executor import ExecStats, QueryResult, SelectExecutor, sort_rows
 from repro.engine.storage import Column, TableStorage
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn, compile_expr, truthy
@@ -189,7 +191,6 @@ class Database:
         """
         from repro.common.errors import SQLTypeError
         from repro.common.types import common_supertype
-        from repro.engine.executor import _SortKey
 
         branches = [
             SelectExecutor(self, params).execute(branch) for branch in stmt.selects
@@ -217,7 +218,7 @@ class Database:
         columns = branches[0].columns
         if stmt.order_by:
             lowered = [c.lower() for c in columns]
-            keys: list[tuple[int, bool]] = []
+            keys: list[tuple[Callable, bool]] = []
             for item in stmt.order_by:
                 if not (
                     isinstance(item.expr, ast.ColumnRef) and item.expr.table is None
@@ -230,9 +231,8 @@ class Database:
                     raise PlanningError(
                         f"UNION ORDER BY column {item.expr.column!r} is not an output"
                     )
-                keys.append((lowered.index(name), item.ascending))
-            for idx, ascending in reversed(keys):
-                rows.sort(key=lambda r, i=idx: _SortKey(r[i]), reverse=not ascending)
+                keys.append((itemgetter(lowered.index(name)), item.ascending))
+            rows = sort_rows(rows, keys)
         offset = stmt.offset or 0
         if offset:
             rows = rows[offset:]
@@ -390,10 +390,6 @@ class Database:
         """Fast path for streaming loads: no SQL parse per row."""
         table = self.catalog.get_table(table_name)
         return table.insert_many(rows)
-
-    def table_bytes(self, table_name: str) -> int:
-        """Approximate stored bytes of one table (ETL sizing)."""
-        return self.catalog.get_table(table_name).byte_size
 
 
 class PreparedStatement:

@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Protocol
 
 from repro.common.errors import (
@@ -199,6 +200,65 @@ class _SortKey:
         if isinstance(a, (int, float)) and isinstance(b, (int, float)):
             return a < b
         return str(a) < str(b)
+
+
+def _column_positions(
+    items: tuple[ast.SelectItem, ...], schema: RowSchema
+) -> list[int] | None:
+    """Row positions a select list of only column references and stars
+    projects, in output order; None when any item is an expression."""
+    positions: list[int] = []
+    for item in items:
+        if isinstance(item.expr, ast.Star):
+            positions.extend(schema.indexes_for_star(item.expr.table))
+        elif isinstance(item.expr, ast.ColumnRef):
+            positions.append(schema.resolve(item.expr))
+        else:
+            return None
+    return positions
+
+
+#: key types whose native order is the order :class:`_SortKey` gives
+#: them (``bool`` compares as the int it is equal to)
+_NUMERIC_TYPES = frozenset({int, float, bool})
+_NONE_TYPE = type(None)
+
+
+def _sort_keys(values: list) -> list:
+    """Per-row sort keys for one ORDER BY column.
+
+    When the non-NULL values are all numeric or all strings, the key is
+    the value itself, paired with a NULL flag when NULLs are present
+    (``(v is None, v)`` puts NULL last): tuple comparison then makes the
+    same ``<`` decisions as :class:`_SortKey`, at C speed. Any other mix
+    (numbers with strings, bytes, ...) keeps the :class:`_SortKey`
+    wrapper and its ``str`` fallback.
+    """
+    kinds = set(map(type, values))
+    has_null = _NONE_TYPE in kinds
+    kinds.discard(_NONE_TYPE)
+    if kinds <= _NUMERIC_TYPES or kinds == {str}:
+        if has_null:
+            return [(v is None, v) for v in values]
+        return values
+    return list(map(_SortKey, values))
+
+
+def sort_rows(rows: list, keys: list[tuple[Callable, bool]]) -> list:
+    """Stable multi-key sort: ``keys`` are (row -> value, ascending) pairs.
+
+    One stable pass per key, from the last key to the first, exactly as
+    sorting with ``_SortKey(fn(row))`` would; each key function runs
+    once per row.
+    """
+    out = list(rows)
+    for fn, ascending in reversed(keys):
+        sort_keys = _sort_keys(list(map(fn, out)))
+        order = sorted(
+            range(len(out)), key=sort_keys.__getitem__, reverse=not ascending
+        )
+        out = list(map(out.__getitem__, order))
+    return out
 
 
 class SelectExecutor:
@@ -494,11 +554,7 @@ class SelectExecutor:
                     if fn is None:
                         raise
             key_fns.append((fn, item.ascending))
-        # Stable sort from the last key to the first.
-        out = list(rows)
-        for fn, ascending in reversed(key_fns):
-            out.sort(key=lambda r, f=fn: _SortKey(f(r)), reverse=not ascending)
-        return out
+        return sort_rows(rows, key_fns)
 
     def _execute_plain(
         self, select: ast.Select, schema: RowSchema, rows: list[tuple]
@@ -506,7 +562,14 @@ class SelectExecutor:
         output = self._expand_items(select.items, schema)
         if select.order_by:
             rows = self._sort_rows(rows, select.order_by, schema, output)
-        projected = [tuple(fn(row) for _, _, fn in output) for row in rows]
+        positions = _column_positions(select.items, schema)
+        if positions is None:
+            projected = [tuple(fn(row) for _, _, fn in output) for row in rows]
+        elif len(positions) == 1:
+            (pos,) = positions
+            projected = [(row[pos],) for row in rows]
+        else:
+            projected = list(map(itemgetter(*positions), rows))
         return QueryResult(
             columns=[name for name, _, _ in output],
             types=[ctype for _, ctype, _ in output],

@@ -53,8 +53,31 @@ def estimate_value_bytes(value: object) -> int:
     return len(str(value))
 
 
+#: the Python type :func:`coerce_value` returns unchanged for each
+#: numeric kind, so a value already of that exact type skips the call
+_NATIVE_TYPES = {
+    TypeKind.INTEGER: int,
+    TypeKind.BIGINT: int,
+    TypeKind.FLOAT: float,
+    TypeKind.DOUBLE: float,
+    TypeKind.DECIMAL: float,
+}
+
+#: value types whose ``str`` length is exactly their footprint
+_TEXT_SIZED_TYPES = frozenset({type(None), int, float, str})
+
+
 def estimate_row_bytes(row: tuple) -> int:
-    """Footprint of a full row including per-value separators."""
+    """Footprint of a full row including per-value separators.
+
+    A row of only ``None``, ``int``, ``float`` and ``str`` values (no
+    ``bool``, ``bytes`` or subclass) is sized from one joined string:
+    ``str(None)`` is the 4 characters of 'NULL', ``str`` of a float is
+    its ``repr`` and an int has at least one digit, so each value's
+    text length is exactly :func:`estimate_value_bytes`.
+    """
+    if _TEXT_SIZED_TYPES.issuperset(map(type, row)):
+        return len("".join(map(str, row))) + len(row)
     return sum(estimate_value_bytes(v) for v in row) + len(row)
 
 
@@ -74,13 +97,13 @@ class TableStorage:
         self.columns = list(columns)
         self.rows: list[tuple] = []
         self._col_index = {c.name.lower(): i for i, c in enumerate(self.columns)}
+        self._native_types = [_NATIVE_TYPES.get(c.type.kind) for c in self.columns]
         pk_cols = [i for i, c in enumerate(self.columns) if c.primary_key]
         self._pk_positions: tuple[int, ...] = tuple(pk_cols)
         self._pk_index: dict[tuple, int] | None = {} if pk_cols else None
         # (sorted keys, their row positions or None when that is 0..n-1),
         # built by the first pk_range call and dropped on every mutation
         self._pk_sorted: tuple[list[int] | None, list[int] | None] | None = None
-        self._byte_size = 0
 
     # Introspection -------------------------------------------------------------
 
@@ -94,8 +117,9 @@ class TableStorage:
 
     @property
     def byte_size(self) -> int:
-        """Approximate data footprint in bytes (used by ETL sizing)."""
-        return self._byte_size
+        """Approximate data footprint in bytes, summed over the rows on
+        each read (no mutation keeps a running count)."""
+        return sum(map(estimate_row_bytes, self.rows))
 
     def column_position(self, name: str) -> int:
         idx = self._col_index.get(name.lower())
@@ -135,8 +159,11 @@ class TableStorage:
             if provided:
                 raise ColumnNotFoundError(next(iter(provided)), self.name)
         out = []
-        for col, value in zip(self.columns, ordered):
-            coerced = None if value is None else coerce_value(value, col.type)
+        for col, native, value in zip(self.columns, self._native_types, ordered):
+            if value is None or type(value) is native:
+                coerced = value
+            else:
+                coerced = coerce_value(value, col.type)
             if coerced is None and col.not_null:
                 raise IntegrityError(
                     f"NULL violates NOT NULL on {self.name}.{col.name}"
@@ -155,7 +182,6 @@ class TableStorage:
                 )
             self._pk_index[key] = len(self.rows)
         self.rows.append(row)
-        self._byte_size += estimate_row_bytes(row)
         self._pk_sorted = None
         return row
 
@@ -166,11 +192,11 @@ class TableStorage:
         """Bulk insert: validate every row, then commit the batch at once.
 
         All-or-nothing — constraint violations (including duplicate keys
-        *within* the batch) raise before any row lands, the sorted
-        primary-key list is dropped once instead of per row, and byte accounting
-        is summed over the batch. This is what the scratch-engine merge
-        and the warehouse loader use; per-row :meth:`insert` keeps
-        modelling the prototype's statement-at-a-time path.
+        *within* the batch) raise before any row lands, and the sorted
+        primary-key list is dropped once instead of per row. This is what
+        the scratch-engine merge and the warehouse loader use; per-row
+        :meth:`insert` keeps modelling the prototype's statement-at-a-time
+        path.
         """
         if not rows:
             return 0
@@ -191,7 +217,6 @@ class TableStorage:
             for offset, key in enumerate(staged_keys):
                 self._pk_index[key] = base + offset
         self.rows.extend(staged)
-        self._byte_size += sum(estimate_row_bytes(r) for r in staged)
         self._pk_sorted = None
         return len(staged)
 
@@ -211,7 +236,6 @@ class TableStorage:
 
     def _rebuild_after_mutation(self) -> None:
         self._pk_sorted = None
-        self._byte_size = sum(estimate_row_bytes(r) for r in self.rows)
         if self._pk_index is not None:
             self._pk_index = {}
             for pos, row in enumerate(self.rows):
@@ -236,6 +260,7 @@ class TableStorage:
                 f"non-empty table {self.name!r}"
             )
         self.columns.append(column)
+        self._native_types.append(_NATIVE_TYPES.get(column.type.kind))
         self.rows = [row + (fill,) for row in self.rows]
         self._col_index[column.name.lower()] = len(self.columns) - 1
         self._rebuild_after_mutation()
@@ -245,6 +270,7 @@ class TableStorage:
         if self.columns[pos].primary_key:
             raise IntegrityError(f"cannot drop primary-key column {name!r}")
         del self.columns[pos]
+        del self._native_types[pos]
         self.rows = [row[:pos] + row[pos + 1 :] for row in self.rows]
         self._col_index = {c.name.lower(): i for i, c in enumerate(self.columns)}
         self._pk_positions = tuple(

@@ -37,14 +37,20 @@ class StagingFile:
     columns: list[str] = field(default_factory=list)
     nbytes: int = 0
 
-    def write(self, columns: list[str], rows: list[tuple]) -> None:
-        """Append rows, paying disk-write time at staging bandwidth."""
+    def write(
+        self, columns: list[str], rows: list[tuple], nbytes: int | None = None
+    ) -> None:
+        """Append rows, paying disk-write time at staging bandwidth.
+
+        ``nbytes`` is the rows' summed :func:`estimate_row_bytes` when the
+        caller has already sized them; otherwise it is computed here.
+        """
         if not self.columns:
             self.columns = list(columns)
         elif self.columns != list(columns):
             raise ETLError("staging file cannot mix row shapes")
         self.rows.extend(rows)
-        added = sum(estimate_row_bytes(r) for r in rows)
+        added = sum(map(estimate_row_bytes, rows)) if nbytes is None else nbytes
         self.nbytes += added
         # serialize each row to the file's text format, then hit the disk
         self.clock.advance_ms(len(rows) * costs.STAGE_SERIALIZE_ROW_MS)
@@ -165,14 +171,18 @@ class ETLPipeline:
     # -- phase 1: extraction -------------------------------------------------------
 
     def _extract(self, job: ETLJob, staging: StagingFile | None):
-        """Query + stream out + transform (+ stage). Returns (cols, rows)."""
+        """Query + stream out + transform (+ stage).
+
+        Returns (cols, rows, row bytes): the rows are sized once, and that
+        sum prices the network move, the staging write and the report.
+        """
         with self._span("etl_extract", table=job.target_table) as span:
-            columns, rows = self._extract_inner(job, staging)
+            columns, rows, nbytes = self._extract_inner(job, staging)
             span.set("rows", len(rows))
         if staging is not None:
             self._count("etl.rows_staged", len(rows))
             self._count("etl.bytes_staged", staging.nbytes)
-        return columns, rows
+        return columns, rows, nbytes
 
     def _extract_inner(self, job: ETLJob, staging: StagingFile | None):
         # Opening the stream for the extraction SQL statement (§5.1 counts
@@ -191,12 +201,14 @@ class ETLPipeline:
             self.clock.advance_ms(len(rows) * costs.TRANSFORM_ROW_MS)
         # Ship the transformed stream to the ETL host (co-located with the
         # target) and stage it.
-        nbytes = sum(estimate_row_bytes(r) for r in rows) + 256
-        self.network.transfer(job.source_host, self.target_host, nbytes, self.clock)
+        nbytes = sum(map(estimate_row_bytes, rows))
+        self.network.transfer(
+            job.source_host, self.target_host, nbytes + 256, self.clock
+        )
         if staging is not None:
             self.clock.advance_ms(costs.STREAM_OPEN_CLOSE_MS)
-            staging.write(columns, rows)
-        return columns, rows
+            staging.write(columns, rows, nbytes)
+        return columns, rows, nbytes
 
     # -- phase 2: loading -----------------------------------------------------------
 
@@ -214,6 +226,14 @@ class ETLPipeline:
         self.clock.advance_ms(costs.STREAM_OPEN_CLOSE_MS)
         target_columns = job.target_columns or columns
         storage = self.target.catalog.get_table(job.target_table)
+        # Resolve the INSERT column list once per load: the table's own
+        # columns in order (warehouse and marts) need no list at all.
+        insert_columns = (
+            None
+            if [c.lower() for c in target_columns]
+            == [c.lower() for c in storage.column_names]
+            else list(target_columns)
+        )
         self._last_loaded_columns = list(columns)
         self._last_loaded_rows = list(rows)
         # One INSERT statement per row: driver marshalling + statement
@@ -230,7 +250,7 @@ class ETLPipeline:
         pending = 0
         for row in rows:
             self.clock.advance_ms(per_row)
-            storage.insert(list(row), list(target_columns))
+            storage.insert(row, insert_columns)
             pending += 1
             if not self.autocommit and pending >= self.commit_every:
                 self.clock.advance_ms(dialect.cost.commit_ms)
@@ -273,7 +293,7 @@ class ETLPipeline:
         drift. Numeric totals are compared with a relative tolerance to
         allow cross-vendor float representation differences.
         """
-        columns, rows = self._extract(job, staging=None)
+        columns, rows, _ = self._extract(job, staging=None)
         target_columns = job.target_columns or columns
         storage = self.target.catalog.get_table(job.target_table)
         positions = [storage.column_position(c) for c in target_columns]
@@ -402,7 +422,7 @@ class ETLPipeline:
     def run_direct(self, job: ETLJob) -> ETLReport:
         """The paper's future-work fix: no staging file, single pass."""
         t0 = self.clock.now_ms
-        columns, rows = self._extract(job, staging=None)
+        columns, rows, nbytes = self._extract(job, staging=None)
         extraction_ms = self.clock.now_ms - t0
         t1 = self.clock.now_ms
         self._load(columns, rows, job)
@@ -410,7 +430,7 @@ class ETLPipeline:
         report = ETLReport(
             job_table=job.target_table,
             rows=len(rows),
-            staged_bytes=sum(estimate_row_bytes(r) for r in rows),
+            staged_bytes=nbytes,
             extraction_ms=extraction_ms,
             loading_ms=loading_ms,
         )

@@ -80,6 +80,16 @@ class TestCodec:
         with pytest.raises(ClarensFault):
             encode_payload("m", object())
 
+    def test_struct_with_unorderable_keys_raises_fault(self):
+        """Mixed int/str keys cannot be sorted into member order: a
+        ClarensFault, not a bare TypeError, from both entry points."""
+        for encode in (encode_payload, payload_bytes):
+            with pytest.raises(ClarensFault) as info:
+                encode("m", {0: 1, "a": 2})
+            assert info.value.method == "encode"
+        with pytest.raises(ClarensFault):
+            encode_payload("m", [{"ok": {1: None, "b": 2}}])
+
     def test_malformed_text_raises(self):
         with pytest.raises(ClarensFault):
             decode_payload("<oops")

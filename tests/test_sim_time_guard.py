@@ -8,6 +8,10 @@ are the simulated milliseconds the Table 1 and Fig 6 queries gave before
 the primary-key range scan existed, each sequence run in its recorded
 order on a fresh world and compared with ``==``: any change to the
 modeled count, or to anything else on the query path, fails here.
+
+The ETL path (Figs 4-5) is pinned the same way: phase milliseconds,
+staged bytes and network bytes of one warehouse load and one four-mart
+replication, recorded before the write path sized each row only once.
 """
 
 import itertools
@@ -17,7 +21,18 @@ import pytest
 from repro.clarens.server import ClarensServer
 from repro.common.rng import DeterministicRNG
 from repro.core import GridFederation
+from repro.engine import Database
+from repro.hep import (
+    create_source_schema,
+    etl_jobs_for_source,
+    events_for_target_kb,
+    generate_ntuple,
+    populate_source,
+)
 from repro.hep.testbed import _make_ntuple_db, build_paper_testbed
+from repro.marts import MartSet
+from repro.net import Network, SimClock
+from repro.warehouse import Warehouse
 
 TABLE1_MS = {
     "local": 38.40022400000089,
@@ -25,6 +40,17 @@ TABLE1_MS = {
     "dist_2srv": 599.5983599999981,
 }
 FIG6_MS = {21: 307.40173599999986, 2551: 689.9359599999997}
+#: Fig 4 at 207.866 kB: (extraction ms, loading ms, staged bytes, net bytes)
+FIG4_207KB = (5648.798559999999, 18763.051236362782, 201446, 201702)
+#: Fig 5 at 67.48 kB: loading ms per mart, in replication order
+FIG5_67KB_LOAD_MS = {
+    "mysql": 13733.651090909298,
+    "mssql": 14716.101090908513,
+    "oracle": 15297.55109091026,
+    "sqlite": 15939.151090908512,
+}
+FIG5_67KB_STAGED_BYTES = 65320
+FIG5_67KB_NET_BYTES = 327880
 
 
 @pytest.fixture(autouse=True)
@@ -66,3 +92,42 @@ def test_fig6_jdbc_sim_ms_unchanged():
         assert outcome.answer.row_count == rows
         measured[rows] = outcome.response_ms
     assert measured == FIG6_MS
+
+
+def _warehouse_world(kb: float, tag: str):
+    """A Fig-4/5 source of ~kb loaded into a fresh warehouse, as the
+    benchmarks build it."""
+    n_events = events_for_target_kb(kb, 8)
+    rng = DeterministicRNG(f"{tag}-{kb}")
+    source = Database("tier1_source", "oracle")
+    create_source_schema(source)
+    populate_source(source, rng, {1: generate_ntuple(rng.fork("nt"), n_events, 8)})
+    network = Network()
+    network.add_host("tier1.cern.ch", 1)
+    warehouse = Warehouse(network, SimClock(), nvar=8)
+    report = warehouse.load(etl_jobs_for_source(source, "tier1.cern.ch", 8)[0])
+    return warehouse, network, report
+
+
+def test_fig4_etl_sim_ms_unchanged():
+    _, network, report = _warehouse_world(207.866, "fig4")
+    measured = (
+        report.extraction_ms,
+        report.loading_ms,
+        report.staged_bytes,
+        network.bytes_moved,
+    )
+    assert measured == FIG4_207KB
+
+
+def test_fig5_mart_loads_sim_ms_unchanged():
+    warehouse, network, _ = _warehouse_world(67.48, "fig5")
+    marts = MartSet(warehouse)
+    for i, vendor in enumerate(FIG5_67KB_LOAD_MS):
+        marts.add_mart(Database(f"mart_{vendor}", vendor), f"mart{i}.caltech.edu")
+    reports = marts.replicate(["v_event_wide"])
+    assert {
+        vendor: report.loading_ms for vendor, report in zip(FIG5_67KB_LOAD_MS, reports)
+    } == FIG5_67KB_LOAD_MS
+    assert [r.staged_bytes for r in reports] == [FIG5_67KB_STAGED_BYTES] * 4
+    assert network.bytes_moved == FIG5_67KB_NET_BYTES
