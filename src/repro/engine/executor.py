@@ -16,13 +16,31 @@ INTEGER/BIGINT primary key filters only the rows of a primary-key range
 scan (:func:`pk_range_path`); every other scan reads the whole table.
 ``ExecStats.rows_examined`` stays the vendor cost model's count either
 way: the table's cardinality at the scan and again at the filter.
+
+Column kernels: the hot loops run one column at a time through C-level
+builtins rather than a Python call per row per value.
+
+- A WHERE that is a conjunction of ``column op constant`` tests
+  (:func:`column_tests`) filters with one ``operator`` map per test
+  (:func:`filter_rows`). It answers only when every tested column holds
+  nothing but ``int``/``float``/``bool`` values (numeric constant) or
+  ``str`` values (string constant) on every input row, so no row could
+  evaluate to NULL or raise; otherwise the compiled row predicate runs
+  over the whole WHERE, exactly as before.
+- Hash joins key their build and probe sides with ``itemgetter`` over
+  the equi-join positions (:func:`equi_positions`): a scalar for one key,
+  a tuple for several, which hash and compare as the old 1-tuples did.
+- GROUP BY over column references and aggregates over a column read
+  their values with ``itemgetter``, not a compiled closure.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Callable, Protocol
 
@@ -102,15 +120,25 @@ def split_conjuncts(expr: ast.Expr) -> list[ast.Expr]:
     return [expr]
 
 
-def _numeric_bound(expr: ast.Expr, params: tuple) -> int | float | None:
-    """The finite number a literal or bound parameter stands for, else None."""
+_CONSTANT_TYPES = frozenset({int, float, str})
+
+
+def _constant(expr: ast.Expr, params: tuple) -> int | float | str | None:
+    """The int, float or str a literal or bound parameter stands for, else
+    None (``bool``, NULL, subclasses and anything else do not qualify)."""
     if isinstance(expr, ast.Literal):
         value = expr.value
     elif isinstance(expr, ast.Param) and expr.index < len(params):
         value = params[expr.index]
     else:
         return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    return value if type(value) in _CONSTANT_TYPES else None
+
+
+def _numeric_bound(expr: ast.Expr, params: tuple) -> int | float | None:
+    """The finite number a literal or bound parameter stands for, else None."""
+    value = _constant(expr, params)
+    if value is None or type(value) is str:
         return None
     return value if math.isfinite(value) else None
 
@@ -175,6 +203,129 @@ def pk_range_path(
     return (table, lo, hi) if narrowed else None
 
 
+#: comparison operators a column test can apply, as C-level functions
+_COMPARE = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+_MIRRORED = {**_FLIPPED, "<>": "<>"}
+
+
+def column_tests(
+    where: ast.Expr, schema: RowSchema, params: tuple = ()
+) -> list[tuple[int, str, int | float | str]] | None:
+    """The WHERE as ``(position, op, constant)`` column tests, or None.
+
+    The executor and EXPLAIN both plan through this one function. It
+    applies when every conjunct is ``column op constant`` or ``constant
+    op column`` (``=``, ``<>``, ``<``, ``<=``, ``>``, ``>=``), or a
+    non-negated ``column BETWEEN c1 AND c2`` (two tests), where each
+    constant is a literal or bound parameter of exact type int, float or
+    str. ``constant op column`` is mirrored onto ``column op' constant``.
+    """
+    tests: list[tuple[int, str, int | float | str]] = []
+    try:
+        for conj in split_conjuncts(where):
+            if isinstance(conj, ast.Between):
+                if conj.negated or not isinstance(conj.operand, ast.ColumnRef):
+                    return None
+                low = _constant(conj.low, params)
+                high = _constant(conj.high, params)
+                if low is None or high is None:
+                    return None
+                pos = schema.resolve(conj.operand)
+                tests += [(pos, ">=", low), (pos, "<=", high)]
+                continue
+            if not (isinstance(conj, ast.BinaryOp) and conj.op in _COMPARE):
+                return None
+            if isinstance(conj.left, ast.ColumnRef):
+                const = _constant(conj.right, params)
+                if const is None:
+                    return None
+                tests.append((schema.resolve(conj.left), conj.op, const))
+            elif isinstance(conj.right, ast.ColumnRef):
+                const = _constant(conj.left, params)
+                if const is None:
+                    return None
+                tests.append((schema.resolve(conj.right), _MIRRORED[conj.op], const))
+            else:
+                return None
+    except ColumnNotFoundError:
+        return None
+    return tests
+
+
+def filter_rows(
+    rows: list[tuple], tests: list[tuple[int, str, int | float | str]]
+) -> list[tuple] | None:
+    """The rows passing every column test, in order; None to fall back.
+
+    Each tested column is pulled over *all* input rows before any mask
+    runs. The kernel answers only when every value of a column compared
+    with a number is exactly ``int``/``float``/``bool``, and every value
+    of a column compared with a string is exactly ``str``: those are the
+    comparisons the row predicate makes once it has excluded NULL and
+    turned ``bool`` into ``int``, so no row could be NULL or raise
+    ``SQLTypeError``. Anything else (a NULL, a type mix, a subclass)
+    returns None and the caller runs the row predicate.
+    """
+    columns: dict[int, tuple[list, set]] = {}
+    masks = []
+    for pos, op, const in tests:
+        if pos not in columns:
+            values = list(map(itemgetter(pos), rows))
+            columns[pos] = values, set(map(type, values))
+        values, kinds = columns[pos]
+        if not kinds <= (_STR_TYPE if type(const) is str else _NUMERIC_TYPES):
+            return None
+        masks.append(map(_COMPARE[op], values, repeat(const)))
+    mask = masks[0] if len(masks) == 1 else map(all, zip(*masks))
+    return list(compress(rows, mask))
+
+
+def equi_positions(
+    conj: ast.Expr, lschema: RowSchema, rschema: RowSchema
+) -> tuple[int, int] | None:
+    """``(left position, right position)`` when ``conj`` is ``a = b`` with
+    one column resolving only on the left input and the other only on
+    the right; None otherwise. The executor and EXPLAIN share it."""
+    if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
+        return None
+    a, b = conj.left, conj.right
+    if not (isinstance(a, ast.ColumnRef) and isinstance(b, ast.ColumnRef)):
+        return None
+
+    def side(ref: ast.ColumnRef) -> tuple[str, int] | None:
+        found = []
+        for label, schema in (("L", lschema), ("R", rschema)):
+            try:
+                found.append((label, schema.resolve(ref)))
+            except ColumnNotFoundError:
+                pass
+        return found[0] if len(found) == 1 else None
+
+    sa, sb = side(a), side(b)
+    if sa is None or sb is None or sa[0] == sb[0]:
+        return None
+    return (sa[1], sb[1]) if sa[0] == "L" else (sb[1], sa[1])
+
+
+def _buckets(keys, rows) -> dict:
+    """Rows grouped by key, keys and rows in first-seen order."""
+    out: dict = {}
+    for key, row in zip(keys, rows):
+        bucket = out.get(key)
+        if bucket is None:
+            out[key] = [row]
+        else:
+            bucket.append(row)
+    return out
+
+
 @functools.total_ordering
 class _SortKey:
     """Total order over SQL values: NULL sorts last ascending-wise."""
@@ -218,9 +369,27 @@ def _column_positions(
     return positions
 
 
+def _project(
+    items: tuple[ast.SelectItem, ...],
+    schema: RowSchema,
+    output: list[tuple[str, SQLType, Callable]],
+    rows: list[tuple],
+) -> list[tuple]:
+    """``rows`` projected onto the select list: by position when it holds
+    only columns and stars, else through the compiled ``output``."""
+    positions = _column_positions(items, schema)
+    if positions is None:
+        return [tuple(fn(row) for _, _, fn in output) for row in rows]
+    if len(positions) == 1:
+        (pos,) = positions
+        return [(row[pos],) for row in rows]
+    return list(map(itemgetter(*positions), rows))
+
+
 #: key types whose native order is the order :class:`_SortKey` gives
 #: them (``bool`` compares as the int it is equal to)
 _NUMERIC_TYPES = frozenset({int, float, bool})
+_STR_TYPE = frozenset({str})
 _NONE_TYPE = type(None)
 
 
@@ -302,7 +471,7 @@ class SelectExecutor:
                 candidates = path[0].pk_range(path[1], path[2])
                 if candidates is not None:
                     rows = candidates
-            rows = [r for r in rows if truthy(predicate(r))]
+            rows = self._filter(select.where, schema, rows, predicate)
         needs_agg = bool(select.group_by) or any(
             ast.contains_aggregate(i.expr) for i in select.items
         ) or (select.having is not None)
@@ -320,6 +489,13 @@ class SelectExecutor:
         result.stats = self.stats
         self.stats.rows_returned = len(result.rows)
         return result
+
+    def _filter(self, expr: ast.Expr, schema: RowSchema, rows: list[tuple], predicate):
+        """The rows ``expr`` holds for: column tests when they answer,
+        else the compiled ``predicate`` row by row."""
+        tests = column_tests(expr, schema, self.params)
+        kept = None if tests is None else filter_rows(rows, tests)
+        return kept if kept is not None else [r for r in rows if truthy(predicate(r))]
 
     def _typecheck(self, select: ast.Select, schema: RowSchema) -> None:
         """Static type check before any row is evaluated.
@@ -366,11 +542,11 @@ class SelectExecutor:
         if join.kind == "CROSS" or join.on is None:
             return self._cross_join(lschema, lrows, rschema, rrows)
         conjuncts = split_conjuncts(join.on)
-        left_keys: list[Callable] = []
-        right_keys: list[Callable] = []
+        left_keys: list[int] = []
+        right_keys: list[int] = []
         residual: list[ast.Expr] = []
         for conj in conjuncts:
-            pair = self._equi_pair(conj, lschema, rschema)
+            pair = equi_positions(conj, lschema, rschema)
             if pair is None:
                 residual.append(conj)
             else:
@@ -392,63 +568,35 @@ class SelectExecutor:
             self.stats.join_strategy.append("nested-loop")
         return combined, rows
 
-    def _equi_pair(self, conj: ast.Expr, lschema: RowSchema, rschema: RowSchema):
-        """If ``conj`` is ``left_col = right_col`` across inputs, return key fns."""
-        if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
-            return None
-        a, b = conj.left, conj.right
-        if not (isinstance(a, ast.ColumnRef) and isinstance(b, ast.ColumnRef)):
-            return None
-
-        def side(ref: ast.ColumnRef) -> str | None:
-            in_left = in_right = False
-            try:
-                lschema.resolve(ref)
-                in_left = True
-            except ColumnNotFoundError:
-                pass
-            try:
-                rschema.resolve(ref)
-                in_right = True
-            except ColumnNotFoundError:
-                pass
-            if in_left and not in_right:
-                return "L"
-            if in_right and not in_left:
-                return "R"
-            return None
-
-        sa, sb = side(a), side(b)
-        if sa == "L" and sb == "R":
-            la = self._compile(a, lschema)
-            rb = self._compile(b, rschema)
-            return la, rb
-        if sa == "R" and sb == "L":
-            lb = self._compile(b, lschema)
-            ra = self._compile(a, rschema)
-            return lb, ra
-        return None
-
     def _hash_join(
         self, lrows, rrows, left_keys, right_keys, kind, right_width, residual_fn=None
     ):
-        """Hash join; ``residual_fn`` is the non-equi remainder of the ON
-        clause and participates in *match determination* (a LEFT row whose
-        only hash matches fail the residual is padded, not dropped)."""
+        """Hash join on key positions; ``residual_fn`` is the non-equi
+        remainder of the ON clause and participates in *match
+        determination* (a LEFT row whose only hash matches fail the
+        residual is padded, not dropped).
+
+        One key position gives scalar keys, several give tuples; a scalar
+        hashes and compares exactly as its 1-tuple would (NaN by
+        identity). NULL never equi-joins: build keys holding a NULL are
+        dropped, so a probe key holding one finds no bucket.
+        """
         self.stats.rows_examined += len(lrows) + len(rrows)
-        table: dict[tuple, list[tuple]] = {}
-        for rr in rrows:
-            key = tuple(fn(rr) for fn in right_keys)
-            if any(k is None for k in key):
-                continue  # NULL never equi-joins
-            table.setdefault(key, []).append(rr)
+        lkey, rkey = itemgetter(*left_keys), itemgetter(*right_keys)
+        table = _buckets(map(rkey, rrows), rrows)
+        if len(right_keys) == 1:
+            table.pop(None, None)
+        else:
+            for key in [k for k in table if None in k]:
+                del table[key]
+        if kind != "LEFT" and residual_fn is None:
+            get = table.get
+            return [lr + rr for lr in lrows for rr in get(lkey(lr), ())]
         out: list[tuple] = []
         pad = (None,) * right_width
         for lr in lrows:
-            key = tuple(fn(lr) for fn in left_keys)
-            candidates = [] if any(k is None for k in key) else table.get(key, [])
             matched = False
-            for rr in candidates:
+            for rr in table.get(lkey(lr), ()):
                 row = lr + rr
                 if residual_fn is None or residual_fn(row):
                     out.append(row)
@@ -562,18 +710,10 @@ class SelectExecutor:
         output = self._expand_items(select.items, schema)
         if select.order_by:
             rows = self._sort_rows(rows, select.order_by, schema, output)
-        positions = _column_positions(select.items, schema)
-        if positions is None:
-            projected = [tuple(fn(row) for _, _, fn in output) for row in rows]
-        elif len(positions) == 1:
-            (pos,) = positions
-            projected = [(row[pos],) for row in rows]
-        else:
-            projected = list(map(itemgetter(*positions), rows))
         return QueryResult(
             columns=[name for name, _, _ in output],
             types=[ctype for _, ctype, _ in output],
-            rows=projected,
+            rows=_project(select.items, schema, output, rows),
         )
 
     # -- scalar select (no FROM) ----------------------------------------------------
@@ -594,7 +734,11 @@ class SelectExecutor:
         self, select: ast.Select, schema: RowSchema, rows: list[tuple]
     ) -> QueryResult:
         group_exprs = list(select.group_by)
-        group_fns = [self._compile(g, schema) for g in group_exprs]
+        group_positions: list[int] | None = None
+        if all(isinstance(g, ast.ColumnRef) for g in group_exprs):
+            group_positions = [schema.resolve(g) for g in group_exprs]
+        else:
+            group_fns = [self._compile(g, schema) for g in group_exprs]
 
         # HAVING and ORDER BY may reference output names (MySQL-style,
         # e.g. HAVING n > 1 for COUNT(*) AS n, or ORDER BY detector for
@@ -657,22 +801,28 @@ class SelectExecutor:
         for order_expr in order_exprs:
             collect(order_expr)
 
-        # Compile aggregate argument functions against the *input* schema.
+        # Compile aggregate argument functions against the *input* schema;
+        # a column argument is read by position.
         agg_arg_fns: list[Callable | None] = []
         for call in agg_calls:
-            if call.args and not isinstance(call.args[0], ast.Star):
-                agg_arg_fns.append(self._compile(call.args[0], schema))
-            else:
+            if not call.args or isinstance(call.args[0], ast.Star):
                 agg_arg_fns.append(None)  # COUNT(*)
+            elif isinstance(call.args[0], ast.ColumnRef):
+                agg_arg_fns.append(itemgetter(schema.resolve(call.args[0])))
+            else:
+                agg_arg_fns.append(self._compile(call.args[0], schema))
 
         # Group rows.
-        groups: dict[tuple, list[tuple]] = {}
-        if group_fns:
-            for row in rows:
-                key = tuple(fn(row) for fn in group_fns)
-                groups.setdefault(key, []).append(row)
+        groups: dict[tuple, list[tuple]]
+        if not group_exprs:
+            groups = {(): list(rows)}
+        elif group_positions is None:
+            groups = _buckets((tuple(fn(row) for fn in group_fns) for row in rows), rows)
         else:
-            groups[()] = list(rows)
+            groups = _buckets(map(itemgetter(*group_positions), rows), rows)
+            if len(group_positions) == 1:
+                # scalar keys group exactly as their 1-tuples would; re-wrap in order
+                groups = {(key,): grouped for key, grouped in groups.items()}
         self.stats.rows_examined += len(rows)
 
         # Post-aggregation schema: group columns then aggregate results.
@@ -739,8 +889,9 @@ class SelectExecutor:
             return expr
 
         if having_expr is not None:
-            having_fn = self._compile(rewrite(having_expr), post_schema)
-            post_rows = [r for r in post_rows if truthy(having_fn(r))]
+            having = rewrite(having_expr)
+            having_fn = self._compile(having, post_schema)
+            post_rows = self._filter(having, post_schema, post_rows, having_fn)
 
         rewritten_items = tuple(
             ast.SelectItem(rewrite(item.expr), item.alias or item.output_name(i + 1))
@@ -757,26 +908,20 @@ class SelectExecutor:
                 for expr, order in zip(order_exprs, select.order_by)
             )
             post_rows = self._sort_rows(post_rows, rewritten_order, post_schema, output)
-        projected = [tuple(fn(row) for _, _, fn in output) for row in post_rows]
         return QueryResult(
             columns=[name for name, _, _ in output],
             types=fixed_types,
-            rows=projected,
+            rows=_project(rewritten_items, post_schema, output, post_rows),
         )
 
     @staticmethod
     def _compute_aggregate(call: ast.FunctionCall, arg_fn, rows: list[tuple]):
         name = call.name.upper()
+        if name == "COUNT" and arg_fn is None:
+            return len(rows)
+        values = [v for v in map(arg_fn, rows) if v is not None]
         if name == "COUNT":
-            if arg_fn is None:
-                return len(rows)
-            values = [arg_fn(r) for r in rows]
-            values = [v for v in values if v is not None]
-            if call.distinct:
-                return len(set(values))
-            return len(values)
-        values = [arg_fn(r) for r in rows]
-        values = [v for v in values if v is not None]
+            return len(set(values)) if call.distinct else len(values)
         if call.distinct:
             values = list(set(values))
         if not values:

@@ -5,13 +5,19 @@ access path reads the first table, which join becomes a hash join on
 which keys, which conjuncts remain residual, where filters/aggregates/
 sorts apply — by running the same analysis the executor would, against
 catalog metadata only. EXPLAIN has no parameter values, so a ``?``
-bound does not narrow the primary-key range it shows.
+bound neither narrows the primary-key range it shows nor makes a column
+test.
 """
 
 from __future__ import annotations
 
-from repro.common.errors import ColumnNotFoundError
-from repro.engine.executor import pk_range_path, split_conjuncts
+from repro.common.types import sql_repr
+from repro.engine.executor import (
+    column_tests,
+    equi_positions,
+    pk_range_path,
+    split_conjuncts,
+)
 from repro.sql import ast
 from repro.sql.eval import RowSchema, SchemaColumn
 from repro.sql.parser import parse_statement
@@ -62,7 +68,7 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
             continue
         equi, residual = [], []
         for conj in split_conjuncts(join.on):
-            if _is_equi_pair(conj, schema, rschema):
+            if equi_positions(conj, schema, rschema) is not None:
                 equi.append(conj.unparse())
             else:
                 residual.append(conj.unparse())
@@ -82,6 +88,14 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
 
     if select.where is not None:
         lines.append(f"{indent}filter: {select.where.unparse()}")
+        tests = column_tests(select.where, schema)
+        if tests is not None:
+            columns = schema.columns
+            shown = ", ".join(
+                f"{columns[pos].qualifier}.{columns[pos].name} {op} {sql_repr(const)}"
+                for pos, op, const in tests
+            )
+            lines.append(f"{indent}  column tests: {shown}")
     has_agg = bool(select.group_by) or any(
         ast.contains_aggregate(i.expr) for i in select.items
     )
@@ -114,34 +128,6 @@ def explain_select(db, select: ast.Select, indent: str = "") -> list[str]:
             + (f" offset {select.offset}" if select.offset else "")
         )
     return lines
-
-
-def _is_equi_pair(conj: ast.Expr, lschema: RowSchema, rschema: RowSchema) -> bool:
-    if not (isinstance(conj, ast.BinaryOp) and conj.op == "="):
-        return False
-    a, b = conj.left, conj.right
-    if not (isinstance(a, ast.ColumnRef) and isinstance(b, ast.ColumnRef)):
-        return False
-
-    def side(ref):
-        in_l = in_r = False
-        try:
-            lschema.resolve(ref)
-            in_l = True
-        except ColumnNotFoundError:
-            pass
-        try:
-            rschema.resolve(ref)
-            in_r = True
-        except ColumnNotFoundError:
-            pass
-        if in_l and not in_r:
-            return "L"
-        if in_r and not in_l:
-            return "R"
-        return None
-
-    return {side(a), side(b)} == {"L", "R"}
 
 
 def explain_statement(db, sql: str | ast.Statement) -> list[str]:

@@ -298,10 +298,6 @@ class QueryProfiler:
         """Per-shape aggregates, slowest mean first."""
         return sorted(self.shapes.values(), key=lambda s: -s.mean_ms)
 
-    def backend_stats(self) -> list[BackendStats]:
-        """Per-backend aggregates, busiest first."""
-        return sorted(self.backends.values(), key=lambda b: -b.busy_ms)
-
     def profile_rows(self) -> list[tuple]:
         """``monitor_profile`` rows: one per operator per retained profile."""
         rows: list[tuple] = []

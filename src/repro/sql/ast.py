@@ -260,11 +260,6 @@ def walk(expr: Expr):
         yield from walk(child)
 
 
-def column_refs(expr: Expr) -> list[ColumnRef]:
-    """All column references in ``expr``, in source order."""
-    return [node for node in walk(expr) if isinstance(node, ColumnRef)]
-
-
 # ---------------------------------------------------------------------------
 # Statements
 # ---------------------------------------------------------------------------

@@ -12,6 +12,11 @@ modeled count, or to anything else on the query path, fails here.
 The ETL path (Figs 4-5) is pinned the same way: phase milliseconds,
 staged bytes and network bytes of one warehouse load and one four-mart
 replication, recorded before the write path sized each row only once.
+
+The executor's column kernels are pinned on the query shapes they
+serve (a filtered GROUP BY, a BETWEEN range, a local and a cross-server
+join): simulated ms and every executor's ``rows_examined``, recorded
+before the kernels existed.
 """
 
 import itertools
@@ -22,6 +27,7 @@ from repro.clarens.server import ClarensServer
 from repro.common.rng import DeterministicRNG
 from repro.core import GridFederation
 from repro.engine import Database
+from repro.engine.executor import SelectExecutor
 from repro.hep import (
     create_source_schema,
     etl_jobs_for_source,
@@ -51,6 +57,33 @@ FIG5_67KB_LOAD_MS = {
 }
 FIG5_67KB_STAGED_BYTES = 65320
 FIG5_67KB_NET_BYTES = 327880
+#: the executor's kernel shapes on the paper testbed, run in this order:
+#: (sql, simulated ms, rows_examined of every SelectExecutor.execute call)
+KERNEL_SHAPES = {
+    "aggregate": (
+        "SELECT run_id, COUNT(*) AS n, AVG(e) AS mean_e FROM ntuple_a WHERE e < 40.000 "
+        "GROUP BY run_id HAVING n > 0 ORDER BY n DESC LIMIT 10",
+        40.65899199999967,
+        [7646],
+    ),
+    "range": (
+        "SELECT event_id, e FROM ntuple_a WHERE event_id BETWEEN 1200 AND 1450",
+        72.7040079999997,
+        [6000],
+    ),
+    "local_join": (
+        "SELECT n.event_id, m.detector FROM ntuple_a n JOIN runmeta_a m "
+        "ON n.run_id = m.run_id WHERE n.event_id <= 120",
+        452.06009600000016,
+        [6000, 150, 660],
+    ),
+    "cross_server_join": (
+        "SELECT a.event_id, a.e, b.e AS e_b FROM ntuple_a a JOIN ntuple_b b "
+        "ON a.event_id = b.event_id WHERE a.event_id <= 60 AND b.event_id <= 60",
+        108.49996799999826,
+        [6000, 6000, 300],
+    ),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -73,6 +106,27 @@ def test_table1_sim_ms_unchanged():
         for name, sql in queries.items()
     }
     assert measured == TABLE1_MS
+
+
+def test_kernel_shapes_sim_ms_and_rows_examined_unchanged(monkeypatch):
+    """Column-test filter, positional GROUP BY and aggregate arguments,
+    and the positional hash join (local and cross-server): simulated ms
+    and the modeled rows examined of every executor call, backends and
+    integrator alike."""
+    examined: list[int] = []
+    execute = SelectExecutor.execute
+
+    def recording(self, select):
+        result = execute(self, select)
+        examined.append(result.stats.rows_examined)
+        return result
+
+    monkeypatch.setattr(SelectExecutor, "execute", recording)
+    tb = build_paper_testbed()
+    for name, (sql, sim_ms, rows_examined) in KERNEL_SHAPES.items():
+        examined.clear()
+        outcome = tb.federation.query(tb.client, tb.server1, sql)
+        assert (outcome.response_ms, examined) == (sim_ms, rows_examined), name
 
 
 def test_fig6_jdbc_sim_ms_unchanged():
