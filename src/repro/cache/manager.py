@@ -27,6 +27,7 @@ stale entries unreachable even before the flush); dictionary changes
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.cache.epochs import EpochRegistry
 from repro.cache.remote import RemoteAnswerCache
@@ -140,7 +141,7 @@ class CacheManager:
 
     def store_sub(self, key, result, tag: str) -> None:
         columns, types, rows, via = result
-        nbytes = sum(estimate_row_bytes(r) for r in rows) + 128
+        nbytes = estimate_row_bytes(tuple(chain.from_iterable(rows))) + 128
         self.sub.put(key, (list(columns), list(types), list(rows), via), nbytes, tag)
 
     # -- invalidation ----------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.cache.epochs import EpochRegistry
 from repro.cache.store import LRUCache
@@ -37,11 +38,9 @@ class _Answer:
 
 def _answer_bytes(value) -> int:
     """Approximate footprint of a wire answer (row payload + envelope)."""
-    nbytes = 256
-    if isinstance(value, dict):
-        for row in value.get("rows", ()):
-            nbytes += estimate_row_bytes(tuple(row))
-    return nbytes
+    if not isinstance(value, dict):
+        return 256
+    return estimate_row_bytes(tuple(chain.from_iterable(value.get("rows", ())))) + 256
 
 
 class RemoteAnswerCache:

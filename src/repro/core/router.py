@@ -12,6 +12,7 @@ named. Remote forwarding is implemented by the service, which injects
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Callable
 
 from repro.common.types import SQLType
@@ -84,7 +85,7 @@ class SubQueryRouter:
     def _transfer_rows(self, from_host: str, rows: list[tuple]) -> None:
         if self.network is None or self.host is None or self.clock is None:
             return
-        nbytes = sum(estimate_row_bytes(r) for r in rows) + 256
+        nbytes = estimate_row_bytes(tuple(chain.from_iterable(rows))) + 256
         self.network.transfer(from_host, self.host, nbytes, self.clock)
 
     # -- the runner --------------------------------------------------------------

@@ -75,6 +75,12 @@ def estimate_row_bytes(row: tuple) -> int:
     ``str(None)`` is the 4 characters of 'NULL', ``str`` of a float is
     its ``repr`` and an int has at least one digit, so each value's
     text length is exactly :func:`estimate_value_bytes`.
+
+    The estimate is additive: a row costs its values' sizes plus
+    ``len(row)``, on either path. A whole result is therefore sized in
+    one call over its flattened values,
+    ``estimate_row_bytes(tuple(chain.from_iterable(rows)))``, which
+    equals ``sum(estimate_row_bytes(r) for r in rows)`` exactly.
     """
     if _TEXT_SIZED_TYPES.issuperset(map(type, row)):
         return len("".join(map(str, row))) + len(row)

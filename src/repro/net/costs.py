@@ -41,8 +41,6 @@ CLARENS_DISPATCH_MS = 6.0
 CLARENS_SESSION_MS = 18.0
 #: envelope bytes added to every request/response message
 XMLRPC_ENVELOPE_BYTES = 512
-#: XML text inflation over the raw row payload
-XMLRPC_INFLATION = 2.5
 #: CPU cost to encode one result row into the XML response (server side)
 XMLRPC_ENCODE_ROW_MS = 0.09
 #: CPU cost to decode one row at the client

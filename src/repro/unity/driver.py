@@ -10,6 +10,7 @@ somewhere and reports how.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Protocol
 
 from repro.common.types import SQLType
@@ -220,7 +221,7 @@ class UnityDriver:
         """Wire cost of shipping a sub-result to the driver's host."""
         if self.network is None or self.host is None:
             return
-        nbytes = sum(estimate_row_bytes(r) for r in rows) + 256
+        nbytes = estimate_row_bytes(tuple(chain.from_iterable(rows))) + 256
         self.network.transfer(from_host, self.host, nbytes, self.clock)
 
     # -- sub-query execution over JDBC ----------------------------------------------

@@ -17,6 +17,7 @@ Figures 4 and 5. ``ETLPipeline.run_direct`` skips the staging file.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable
 
 from repro.common.errors import ETLError
@@ -50,7 +51,11 @@ class StagingFile:
         elif self.columns != list(columns):
             raise ETLError("staging file cannot mix row shapes")
         self.rows.extend(rows)
-        added = sum(map(estimate_row_bytes, rows)) if nbytes is None else nbytes
+        added = (
+            estimate_row_bytes(tuple(chain.from_iterable(rows)))
+            if nbytes is None
+            else nbytes
+        )
         self.nbytes += added
         # serialize each row to the file's text format, then hit the disk
         self.clock.advance_ms(len(rows) * costs.STAGE_SERIALIZE_ROW_MS)
@@ -201,7 +206,7 @@ class ETLPipeline:
             self.clock.advance_ms(len(rows) * costs.TRANSFORM_ROW_MS)
         # Ship the transformed stream to the ETL host (co-located with the
         # target) and stage it.
-        nbytes = sum(map(estimate_row_bytes, rows))
+        nbytes = estimate_row_bytes(tuple(chain.from_iterable(rows)))
         self.network.transfer(
             job.source_host, self.target_host, nbytes + 256, self.clock
         )

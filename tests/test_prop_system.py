@@ -33,11 +33,11 @@ wire_values = st.recursive(
 
 
 class TestCodecProperties:
-    @given(wire_values)
+    @given(st.text(max_size=20), wire_values)
     @settings(max_examples=150)
-    def test_round_trip(self, value):
-        method, decoded = decode_payload(encode_payload("svc.m", value))
-        assert method == "svc.m"
+    def test_round_trip(self, name, value):
+        method, decoded = decode_payload(encode_payload(name, value))
+        assert method == name
         assert decoded == value
 
 

@@ -17,6 +17,12 @@ The executor's column kernels are pinned on the query shapes they
 serve (a filtered GROUP BY, a BETWEEN range, a local and a cross-server
 join): simulated ms and every executor's ``rows_examined``, recorded
 before the kernels existed.
+
+Wire sizing is pinned in bytes, not only through the milliseconds they
+cost: the network's and the Clarens client's byte counters over the
+Fig 6 sweep and the Table 1 queries, and the byte totals the sub-result
+and remote-answer caches hold after a fixed cached sequence, recorded
+while every payload was still sized by encoding it to text.
 """
 
 import itertools
@@ -46,6 +52,34 @@ TABLE1_MS = {
     "dist_2srv": 599.5983599999981,
 }
 FIG6_MS = {21: 307.40173599999986, 2551: 689.9359599999997}
+#: all twelve Fig 6 points, run in this order on a fresh server
+FIG6_SWEEP_MS = {
+    21: 307.40173599999986,
+    51: 311.93401599999993,
+    301: 349.7175279999998,
+    451: 372.38851999999974,
+    700: 410.0245279999999,
+    801: 425.29178400000046,
+    901: 440.4050160000006,
+    1701: 561.3865440000009,
+    1751: 568.9488800000008,
+    2251: 644.5666960000003,
+    2451: 674.8123439999999,
+    2551: 689.9359599999998,
+}
+#: over the sweep: (network bytes_moved, client bytes_sent, client bytes_received)
+FIG6_SWEEP_BYTES = (2726276, 2319, 1875809)
+#: per Table 1 query, in this order: the same three byte counters
+TABLE1_BYTES = {
+    "local": (2998, 186, 2010),
+    "dist_1srv": (8777, 242, 6083),
+    "dist_2srv": (40788, 383, 11830),
+}
+#: after CACHED_SEQUENCE on a cached testbed: stored bytes of
+#: (server1 sub-results, server1 remote answers, server2 sub-results,
+#: server2 remote answers)
+CACHED_BYTES = (4832, 4285, 8058, 3020)
+CACHED_SEQUENCE = ("local", "dist_1srv", "dist_2srv", "local", "dist_2srv")
 #: Fig 4 at 207.866 kB: (extraction ms, loading ms, staged bytes, net bytes)
 FIG4_207KB = (5648.798559999999, 18763.051236362782, 201446, 201702)
 #: Fig 5 at 67.48 kB: loading ms per mart, in replication order
@@ -94,16 +128,27 @@ def fresh_session_ids(monkeypatch):
     monkeypatch.setattr(ClarensServer, "_session_counter", itertools.count(1))
 
 
-def test_table1_sim_ms_unchanged():
-    tb = build_paper_testbed()
-    queries = {
+def _fig6_world():
+    fed = GridFederation()
+    server = fed.create_server("jclarens1", "pc1.caltech.edu", force_jdbc=True)
+    db = _make_ntuple_db("ntuple_db", DeterministicRNG("fig6"), 3000, 150)
+    fed.attach_database(server, db, logical_names={"NTUPLE": "ntuple"})
+    return fed, server, fed.client("client.cern.ch")
+
+
+def _table1_queries(tb) -> dict[str, str]:
+    return {
         "local": tb.QUERY_LOCAL,
         "dist_1srv": tb.QUERY_DISTRIBUTED_1SRV,
         "dist_2srv": tb.QUERY_DISTRIBUTED_2SRV,
     }
+
+
+def test_table1_sim_ms_unchanged():
+    tb = build_paper_testbed()
     measured = {
         name: tb.federation.query(tb.client, tb.server1, sql).response_ms
-        for name, sql in queries.items()
+        for name, sql in _table1_queries(tb).items()
     }
     assert measured == TABLE1_MS
 
@@ -133,11 +178,7 @@ def test_fig6_jdbc_sim_ms_unchanged():
     """Run in the recorded order on a fresh server: a response time is a
     difference of the running simulated clock, so its last bits depend
     on what ran before."""
-    fed = GridFederation()
-    server = fed.create_server("jclarens1", "pc1.caltech.edu", force_jdbc=True)
-    db = _make_ntuple_db("ntuple_db", DeterministicRNG("fig6"), 3000, 150)
-    fed.attach_database(server, db, logical_names={"NTUPLE": "ntuple"})
-    client = fed.client("client.cern.ch")
+    fed, server, client = _fig6_world()
     measured = {}
     for rows in FIG6_MS:
         outcome = fed.query(
@@ -146,6 +187,45 @@ def test_fig6_jdbc_sim_ms_unchanged():
         assert outcome.answer.row_count == rows
         measured[rows] = outcome.response_ms
     assert measured == FIG6_MS
+
+
+def test_fig6_sweep_sim_ms_and_bytes_unchanged():
+    fed, server, client = _fig6_world()
+    net0 = fed.network.bytes_moved
+    measured = {}
+    for rows in FIG6_SWEEP_MS:
+        outcome = fed.query(
+            client, server, f"SELECT event_id, e, px, py FROM ntuple WHERE event_id <= {rows}"
+        )
+        assert outcome.answer.row_count == rows
+        measured[rows] = outcome.response_ms
+    assert measured == FIG6_SWEEP_MS
+    moved = (fed.network.bytes_moved - net0, client.bytes_sent, client.bytes_received)
+    assert moved == FIG6_SWEEP_BYTES
+
+
+def test_table1_wire_bytes_unchanged():
+    tb = build_paper_testbed()
+    network, client = tb.federation.network, tb.client
+    measured = {}
+    for name, sql in _table1_queries(tb).items():
+        before = (network.bytes_moved, client.bytes_sent, client.bytes_received)
+        tb.federation.query(client, tb.server1, sql)
+        after = (network.bytes_moved, client.bytes_sent, client.bytes_received)
+        measured[name] = tuple(b - a for a, b in zip(before, after))
+    assert measured == TABLE1_BYTES
+
+
+def test_cache_stored_bytes_unchanged():
+    """Both servers answer the same sequence; a server forwards its
+    remote sub-queries to the other, so both cache levels fill."""
+    tb = build_paper_testbed(cache=True)
+    queries = _table1_queries(tb)
+    for name in CACHED_SEQUENCE:
+        tb.federation.query(tb.client, tb.server1, queries[name])
+        tb.federation.query(tb.client, tb.server2, queries[name])
+    c1, c2 = tb.server1.service.cache, tb.server2.service.cache
+    assert (c1.sub.bytes, c1.remote.bytes, c2.sub.bytes, c2.remote.bytes) == CACHED_BYTES
 
 
 def _warehouse_world(kb: float, tag: str):
