@@ -81,10 +81,6 @@ class Histogram1D:
         variance = self._sum2 / self._n - self.mean**2
         return math.sqrt(max(0.0, variance))
 
-    def bin_centers(self) -> np.ndarray:
-        """The center coordinate of each bin."""
-        return self.low + (np.arange(self.nbins) + 0.5) * self.bin_width
-
     def bin_index(self, value: float) -> int:
         """Bin index for ``value``; -1 underflow, nbins overflow."""
         if value < self.low:

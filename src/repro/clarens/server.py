@@ -131,10 +131,6 @@ class ClarensServer:
             raise ClarensFault(name, f"no service {name!r} on server {self.name!r}")
         return svc
 
-    def service_names(self) -> list[str]:
-        """Sorted names of the hosted services."""
-        return sorted(self._services)
-
     # -- authentication ---------------------------------------------------------------
 
     def authenticate(self, user: str, password: str) -> str:

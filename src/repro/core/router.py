@@ -8,6 +8,11 @@ fresh connect + authenticate per query); a sub-query whose table is not
 registered locally is forwarded to the remote JClarens server the RLS
 named. Remote forwarding is implemented by the service, which injects
 ``remote_fetch``.
+
+Local routes hand the backend the sub-query's AST next to its vendor
+text (``Dialect.vendor_select``), so the text a router renders is never
+parsed again; only the remote route ships text, the logical SQL a peer
+parses once.
 """
 
 from __future__ import annotations
@@ -109,9 +114,8 @@ class SubQueryRouter:
         return self._via_jdbc(sub, params)
 
     def _via_pool(self, sub, params):
-        dialect = get_dialect(sub.location.vendor)
-        vendor_sql = dialect.render_select(sub.select)
-        cursor = self.ral.execute_sql(sub.location.url, vendor_sql, params)
+        vendor_ast, vendor_sql = get_dialect(sub.location.vendor).vendor_select(sub.select)
+        cursor = self.ral.execute_sql(sub.location.url, vendor_sql, params, vendor_ast)
         rows = cursor.fetchall()
         self._count_route("pool", rows)
         binding = self.directory.lookup(sub.location.url)
@@ -124,12 +128,11 @@ class SubQueryRouter:
         # dominant term in Table 1's distributed rows. With a pool, the
         # metadata is cached alongside the connection and both costs
         # disappear on a hit.
-        dialect = get_dialect(sub.location.vendor)
+        vendor_ast, vendor_sql = get_dialect(sub.location.vendor).vendor_select(sub.select)
         if self.jdbc_pool is not None:
             connection = self.jdbc_pool.get(sub.location.url, self.user, self.password)
             try:
-                vendor_sql = dialect.render_select(sub.select)
-                cursor = connection.execute(vendor_sql, params)
+                cursor = connection.execute(vendor_sql, params, vendor_ast)
                 rows = cursor.fetchall()
                 columns, types = cursor.columns, cursor.types
             finally:
@@ -145,8 +148,7 @@ class SubQueryRouter:
                 clock=self.clock,
             )
             try:
-                vendor_sql = dialect.render_select(sub.select)
-                cursor = connection.execute(vendor_sql, params)
+                cursor = connection.execute(vendor_sql, params, vendor_ast)
                 rows = cursor.fetchall()
                 columns, types = cursor.columns, cursor.types
             finally:

@@ -1,7 +1,8 @@
 """Dialect base class and the vendor cost profile.
 
 A dialect never executes anything itself; it renders SQL *text* in the
-vendor's surface syntax and maps types both ways. The engine parser
+vendor's surface syntax (and says which AST that text stands for, which
+local backends execute directly) and maps types both ways. The engine parser
 accepts every vendor spelling a dialect can emit, so vendor DDL/DML
 round-trips through the engine — this is the "N technologies" half of
 the paper's N×S argument.
@@ -9,7 +10,7 @@ the paper's N×S argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.common.errors import ConnectionFailedError, SQLTypeError
 from repro.common.types import SQLType, TypeKind, sql_repr
@@ -144,42 +145,30 @@ class Dialect:
             head + "(" + ", ".join(sql_repr(v) for v in row) + ")" for row in rows
         ]
 
+    def vendor_select(self, select: ast.Select) -> tuple[ast.Select, str]:
+        """What the vendor receives for ``select``: its AST and its text.
+
+        The AST is what a local backend executes, the text is the same
+        statement in vendor syntax; ``parse_statement(text)`` equals the
+        AST for any parser-built ``select``. Only the limit spelling
+        differs by vendor: ``LIMIT n``, MS-SQL's ``SELECT TOP n``, or —
+        for ``limit_style == "client"`` — no limit at all, because the
+        vendor has no portable limit clause and the caller truncates
+        after fetch.
+        """
+        if select.limit is None or self.limit_style == "limit":
+            return select, select.unparse()
+        unlimited = replace(select, limit=None)
+        if self.limit_style == "client":
+            return unlimited, unlimited.unparse()
+        text = unlimited.unparse()
+        head = "SELECT DISTINCT" if select.distinct else "SELECT"
+        assert text.startswith(head)
+        return select, f"{head} TOP {select.limit}{text[len(head):]}"
+
     def render_select(self, select: ast.Select) -> str:
         """Render a SELECT in vendor syntax (limit spelling differs)."""
-        if select.limit is None or self.limit_style == "limit":
-            return select.unparse()
-        if self.limit_style == "top":
-            inner = ast.Select(
-                items=select.items,
-                from_=select.from_,
-                joins=select.joins,
-                where=select.where,
-                group_by=select.group_by,
-                having=select.having,
-                order_by=select.order_by,
-                limit=None,
-                offset=select.offset,
-                distinct=select.distinct,
-            )
-            text = inner.unparse()
-            head = "SELECT DISTINCT" if select.distinct else "SELECT"
-            assert text.startswith(head)
-            return f"{head} TOP {select.limit}{text[len(head):]}"
-        # 'client': the vendor has no portable limit clause; emit the
-        # unlimited query — the caller truncates after fetch.
-        inner = ast.Select(
-            items=select.items,
-            from_=select.from_,
-            joins=select.joins,
-            where=select.where,
-            group_by=select.group_by,
-            having=select.having,
-            order_by=select.order_by,
-            limit=None,
-            offset=select.offset,
-            distinct=select.distinct,
-        )
-        return inner.unparse()
+        return self.vendor_select(select)[1]
 
     @property
     def limit_applied_client_side(self) -> bool:

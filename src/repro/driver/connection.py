@@ -13,6 +13,7 @@ from repro.common.errors import DriverError
 from repro.driver.directory import Directory, GLOBAL_DIRECTORY
 from repro.driver.url import sniff_vendor
 from repro.engine.database import Database, ExecResult
+from repro.sql import ast
 
 
 class _NullClock:
@@ -34,14 +35,25 @@ class Cursor:
 
     # -- execution -------------------------------------------------------------
 
-    def execute(self, sql: str, params: tuple = ()) -> "Cursor":
-        """Run one statement and expose its result on this cursor."""
+    def execute(
+        self, sql: str, params: tuple = (), statement: ast.Statement | None = None
+    ) -> "Cursor":
+        """Run one statement and expose its result on this cursor.
+
+        ``statement``, when given, is ``sql`` already parsed (a router
+        hands over the sub-query AST it rendered ``sql`` from); the
+        database then executes it without parsing the text again. The
+        statement and scan charges are the same either way.
+        """
         conn = self.connection
         if conn.closed:
             raise DriverError("cursor used after connection close")
         cost = conn.dialect.cost
         conn.clock.advance_ms(cost.per_statement_ms)
-        result = conn.database.execute(sql, params)
+        if statement is None:
+            result = conn.database.execute(sql, params)
+        else:
+            result = conn.database.execute_statement(statement, params, sql_text=sql)
         # Scan cost is charged for the cost model's rows examined: a full
         # scan's count, whichever access path the executor took.
         conn.clock.advance_ms(result.stats.rows_examined * cost.per_row_scan_us / 1000.0)
@@ -152,9 +164,11 @@ class Connection:
             raise DriverError("connection is closed")
         return Cursor(self)
 
-    def execute(self, sql: str, params: tuple = ()) -> Cursor:
-        """Convenience: cursor + execute in one call."""
-        return self.cursor().execute(sql, params)
+    def execute(
+        self, sql: str, params: tuple = (), statement: ast.Statement | None = None
+    ) -> Cursor:
+        """Convenience: cursor + execute in one call (see :meth:`Cursor.execute`)."""
+        return self.cursor().execute(sql, params, statement)
 
     def close(self) -> None:
         """Release this object; it must not be used afterwards."""

@@ -119,7 +119,13 @@ class Database:
     # -- statement execution ---------------------------------------------------------
 
     def execute(self, sql: str, params: tuple = ()) -> ExecResult:
-        """Parse and execute one SQL statement."""
+        """Parse and execute one SQL statement.
+
+        The entry point for callers holding text (DDL, the ETL, the POOL
+        wrapper, tests). The federation's routers already hold each
+        sub-query's AST and call :meth:`execute_statement` through the
+        driver, so rendered sub-query text is never parsed again here.
+        """
         stmt = parse_statement(sql)
         return self.execute_statement(stmt, params, sql_text=sql)
 

@@ -99,11 +99,6 @@ class QueryResult:
                 return i
         raise ColumnNotFoundError(name)
 
-    def column_values(self, name: str) -> list:
-        """All values of one column, in row order."""
-        idx = self.column_index(name)
-        return [row[idx] for row in self.rows]
-
     def to_dicts(self) -> list[dict]:
         """Rows as dicts keyed by column name."""
         return [dict(zip(self.columns, row)) for row in self.rows]

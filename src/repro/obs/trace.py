@@ -243,13 +243,6 @@ class Tracer:
         """Every finished span of one trace."""
         return [s for s in self.spans if s.trace_id == trace_id]
 
-    def trace_ids(self) -> list[str]:
-        """Distinct trace ids, in first-seen order."""
-        seen: dict[str, None] = {}
-        for span in self.spans:
-            seen.setdefault(span.trace_id)
-        return list(seen)
-
 
 def format_span_tree(spans: list[Span]) -> list[str]:
     """Render one trace's spans as an indented tree of text lines."""

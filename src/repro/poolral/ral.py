@@ -9,6 +9,7 @@ from repro.driver.connection import Connection, connect
 from repro.driver.directory import Directory
 from repro.driver.url import sniff_vendor
 from repro.net import costs
+from repro.sql import ast
 
 
 @dataclass
@@ -66,16 +67,20 @@ class PoolRAL:
 
     # -- execution -----------------------------------------------------------------
 
-    def execute_sql(self, url: str, sql: str, params: tuple = ()):
+    def execute_sql(
+        self, url: str, sql: str, params: tuple = (), statement: ast.Statement | None = None
+    ):
         """Run SQL through an initialized handle; returns the cursor.
 
         Unlike the JDBC path, no connect/auth is paid here — the handle
-        was initialized once at registration time.
+        was initialized once at registration time. ``statement`` is
+        ``sql`` already parsed, as the router hands it over; the backend
+        then runs it without a second parse.
         """
         handle = self._handles.get(url)
         if handle is None:
             handle = self.initialize(url)
         self.clock.advance_ms(costs.POOL_CALL_MS)
-        cursor = handle.connection.execute(sql, params)
+        cursor = handle.connection.execute(sql, params, statement)
         handle.queries_executed += 1
         return cursor

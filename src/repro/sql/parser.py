@@ -62,12 +62,17 @@ class _Parser:
             self.pos += 1
         return tok
 
+    # The accept_* helpers index the token list directly and step past a
+    # match with ``pos += 1``: a matched token is never the EOF token.
+
     def check_keyword(self, *words: str) -> bool:
-        return self.current.type is TokenType.KEYWORD and self.current.value in words
+        tok = self.tokens[self.pos]
+        return tok.type is TokenType.KEYWORD and tok.value in words
 
     def accept_keyword(self, *words: str) -> bool:
-        if self.check_keyword(*words):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.type is TokenType.KEYWORD and tok.value in words:
+            self.pos += 1
             return True
         return False
 
@@ -79,8 +84,9 @@ class _Parser:
         return self.advance()
 
     def accept_punct(self, value: str) -> bool:
-        if self.current.matches(TokenType.PUNCT, value):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if tok.type is TokenType.PUNCT and tok.value == value:
+            self.pos += 1
             return True
         return False
 
@@ -93,11 +99,13 @@ class _Parser:
             )
         return self.advance()
 
-    def accept_operator(self, value: str) -> bool:
-        if self.current.matches(TokenType.OPERATOR, value):
-            self.advance()
-            return True
-        return False
+    def accept_operator(self, *ops: str) -> str | None:
+        """Consume the current token if it is one of ``ops``; its value."""
+        tok = self.tokens[self.pos]
+        if tok.type is TokenType.OPERATOR and tok.value in ops:
+            self.pos += 1
+            return tok.value
+        return None
 
     def expect_identifier(self) -> str:
         tok = self.current
@@ -587,35 +595,24 @@ class _Parser:
 
     def parse_additive(self) -> ast.Expr:
         left = self.parse_multiplicative()
-        while True:
-            if self.accept_operator("+"):
-                left = ast.BinaryOp("+", left, self.parse_multiplicative())
-            elif self.accept_operator("-"):
-                left = ast.BinaryOp("-", left, self.parse_multiplicative())
-            elif self.accept_operator("||"):
-                left = ast.BinaryOp("||", left, self.parse_multiplicative())
-            else:
-                return left
+        while (op := self.accept_operator("+", "-", "||")) is not None:
+            left = ast.BinaryOp(op, left, self.parse_multiplicative())
+        return left
 
     def parse_multiplicative(self) -> ast.Expr:
         left = self.parse_unary()
-        while True:
-            if self.accept_operator("*"):
-                left = ast.BinaryOp("*", left, self.parse_unary())
-            elif self.accept_operator("/"):
-                left = ast.BinaryOp("/", left, self.parse_unary())
-            elif self.accept_operator("%"):
-                left = ast.BinaryOp("%", left, self.parse_unary())
-            else:
-                return left
+        while (op := self.accept_operator("*", "/", "%")) is not None:
+            left = ast.BinaryOp(op, left, self.parse_unary())
+        return left
 
     def parse_unary(self) -> ast.Expr:
-        if self.accept_operator("-"):
+        op = self.accept_operator("-", "+")
+        if op == "-":
             operand = self.parse_unary()
             if isinstance(operand, ast.Literal) and isinstance(operand.value, (int, float)):
                 return ast.Literal(-operand.value)
             return ast.UnaryOp("-", operand)
-        if self.accept_operator("+"):
+        if op == "+":
             return self.parse_unary()
         return self.parse_primary()
 

@@ -230,7 +230,7 @@ class UnityDriver:
         self, sub: SubQuery, params: tuple
     ) -> tuple[list[str], list[SQLType], list[tuple]]:
         """One unprotected connect/execute/fetch round-trip."""
-        dialect = get_dialect(sub.location.vendor)
+        vendor_ast, vendor_sql = get_dialect(sub.location.vendor).vendor_select(sub.select)
         connection = connect(
             sub.location.url,
             self.user,
@@ -239,8 +239,7 @@ class UnityDriver:
             clock=self.clock,
         )
         try:
-            vendor_sql = dialect.render_select(sub.select)
-            cursor = connection.execute(vendor_sql, params)
+            cursor = connection.execute(vendor_sql, params, vendor_ast)
             rows = cursor.fetchall()
             types = cursor.types or [SQLType.text()] * len(cursor.columns)
             columns = cursor.columns

@@ -1,12 +1,17 @@
 """Property-based tests (hypothesis) for the SQL layer."""
 
 import math
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.common import SQLType, TypeKind, coerce_value, common_supertype, sql_repr
 from repro.common.errors import SQLTypeError
+from repro.dialects import get_dialect
+from repro.dialects.registry import available_vendors
+from repro.engine import Database
 from repro.sql import ast, parse_expression, parse_statement, tokenize
+from repro.unity.driver import UnityDriver
 
 
 # -- value strategies -------------------------------------------------------------
@@ -129,6 +134,98 @@ class TestStatementRoundTrip:
     def test_select_round_trip(self, select):
         text = select.unparse()
         assert parse_statement(text).unparse() == text
+
+
+# -- vendor round trip: the AST a backend executes ----------------------------------------
+
+
+@st.composite
+def _random_selects(draw):
+    """A SELECT with every clause, normalized once through the parser:
+    a backend is only ever handed parser-built ASTs (the client's query
+    is parsed, and decompose rearranges its nodes)."""
+    exprs = _exprs()
+    items = draw(st.lists(st.tuples(exprs, st.none() | _idents), min_size=1, max_size=3))
+    tables = draw(st.lists(_idents, min_size=1, max_size=3, unique=True))
+    joins = [
+        ast.Join(kind, ast.TableRef(name), None if kind == "CROSS" else draw(exprs))
+        for kind, name in zip(
+            draw(st.lists(st.sampled_from(["INNER", "LEFT", "CROSS"]), max_size=2)),
+            tables[1:],
+        )
+    ]
+    group_by = tuple(draw(st.lists(exprs, max_size=2)))
+    select = ast.Select(
+        items=tuple(ast.SelectItem(e, alias) for e, alias in items),
+        from_=tuple(ast.TableRef(n) for n in tables[len(joins) + 1 :] + tables[:1]),
+        joins=tuple(joins),
+        where=draw(st.none() | exprs),
+        group_by=group_by,
+        having=draw(st.none() | exprs) if group_by else None,
+        order_by=tuple(
+            ast.OrderItem(e, asc) for e, asc in draw(st.lists(st.tuples(exprs, st.booleans()), max_size=2))
+        ),
+        limit=draw(st.none() | st.integers(0, 10_000)),
+        offset=draw(st.none() | st.integers(0, 10_000)),
+        distinct=draw(st.booleans()),
+    )
+    normalized = parse_statement(select.unparse())
+    assert isinstance(normalized, ast.Select)
+    return normalized
+
+
+class TestVendorRoundTrip:
+    """Local backends execute ``Dialect.vendor_select``'s AST without
+    parsing the vendor text, so the text must say exactly that AST."""
+
+    @given(_random_selects())
+    @settings(max_examples=150, deadline=None)
+    def test_vendor_text_parses_to_the_vendor_ast(self, select):
+        for vendor in available_vendors():
+            dialect = get_dialect(vendor)
+            vendor_ast, text = dialect.vendor_select(select)
+            assert parse_statement(text) == vendor_ast, (vendor, text)
+            assert dialect.render_select(select) == text
+            if dialect.limit_applied_client_side:
+                assert vendor_ast == replace(select, limit=None)
+            else:
+                assert vendor_ast == select
+
+    def test_plan_cache_hit_hands_backends_the_planned_ast(self, two_db_federation, monkeypatch):
+        """A cached plan's sub-query ASTs are shared between queries;
+        the backend must get them, equal to what was first planned."""
+        directory, dictionary, _events, _runs, _urls = two_db_federation
+        driver = UnityDriver(dictionary, directory, cache=True)
+        handed = []
+        original = Database.execute_statement
+
+        def recording(db, stmt, params=(), sql_text=None):
+            handed.append((db.name, stmt, sql_text))
+            return original(db, stmt, params, sql_text)
+
+        monkeypatch.setattr(Database, "execute_statement", recording)
+        sql = (
+            "SELECT e.event_id, r.detector FROM events e JOIN runs r "
+            "ON e.run_id = r.run_id WHERE e.energy > 3.0 ORDER BY e.event_id"
+        )
+        first = driver.execute(sql)
+        planned = {
+            sub.location.database_name: get_dialect(sub.location.vendor).vendor_select(sub.select)
+            for sub in first.plan.subqueries
+        }
+        first_handed = list(handed)
+        handed.clear()
+        for database in planned:  # drop the sub-results, keep the plan
+            driver.cache.epochs.bump(database)
+        second = driver.execute(sql)
+        assert second.plan is first.plan  # a plan-cache hit
+        assert second.rows == first.rows
+        assert handed == first_handed
+        # the integrator's scratch database runs the merge, not a sub-query
+        backends = {name: (stmt, text) for name, stmt, text in handed if name in planned}
+        assert backends == planned
+        for stmt, text in backends.values():
+            assert parse_statement(text) == stmt
 
 
 # -- type system properties ------------------------------------------------------------------
